@@ -945,24 +945,27 @@ let choose_method t s =
     let full, diff = estimate t s.snap_name in
     if diff <= full then Used_differential else Used_full
 
-(* An Auto snapshot may alternate between full and differential refresh.
-   A full refresh synchronizes the snapshot's contents as of its new
-   SnapTime but does not touch annotations — so an entry inserted before
-   it (still carrying NULL PrevAddr, hence absent from the chain) could be
-   deleted afterwards without leaving any anomaly, and a later
-   differential refresh would miss the deletion.  Running the fix-up pass
-   alongside such a full refresh restores the invariant the differential
-   scan depends on: "the annotation state is current as of SnapTime". *)
-let needs_priming_fixup b s method_used =
-  method_used = Used_full && s.spec = Auto && Base_table.mode b = Base_table.Deferred
+(* Any snapshot may alternate between a differential and a
+   non-differential refresh: an Auto snapshot by its cost model,
+   any other by [set_method] (which Fleet dispatch uses) or by escalation
+   to full after repeated failures.  A non-differential refresh
+   synchronizes the snapshot's contents as of its new SnapTime but does
+   not touch annotations — so an entry inserted before it (still carrying
+   NULL PrevAddr, hence absent from the chain) could be deleted afterwards
+   without leaving any anomaly, and a later differential refresh would
+   miss the deletion.  Running the fix-up pass alongside every
+   non-differential refresh of a deferred base restores the invariant the
+   differential scan depends on: "the annotation state is current as of
+   SnapTime".  Eager bases keep annotations current on every write. *)
+let needs_priming_fixup b method_used =
+  method_used <> Used_differential && Base_table.mode b = Base_table.Deferred
 
-(* Deferred-mode differential refresh (and a priming fix-up) rewrites
-   annotation fields, so it needs an exclusive table lock; every other
+(* On a deferred base every refresh rewrites annotation fields — the
+   differential scan's own fix-up or the priming fix-up beside any other
+   method — so it needs an exclusive table lock; on an eager base every
    method only reads. *)
-let lock_mode_for b s = function
-  | Used_differential when Base_table.mode b = Base_table.Deferred -> Lock.X
-  | Used_full when needs_priming_fixup b s Used_full -> Lock.X
-  | Used_differential | Used_full | Used_ideal | Used_log_based -> Lock.S
+let lock_mode_for b =
+  if Base_table.mode b = Base_table.Deferred then Lock.X else Lock.S
 
 (* The chunked protocol applies when a chunk size is configured and the
    method is a scan over a WAL-backed table; priming passes (which rewrite
@@ -970,10 +973,10 @@ let lock_mode_for b s = function
    chunk) stay monolithic.  [chunk_entries = max_int] — the default —
    takes the monolithic path unconditionally, byte-identical to the
    pre-chunking code. *)
-let chunked_eligible t b s ~prime method_used =
-  t.chunk_entries < max_int && (not prime)
+let chunked_eligible t b method_used =
+  t.chunk_entries < max_int
   && Base_table.wal b <> None
-  && (not (needs_priming_fixup b s method_used))
+  && (not (needs_priming_fixup b method_used))
   && (method_used = Used_differential || method_used = Used_full)
 
 (* One chunked solo stream attempt (a group of one for differential). *)
@@ -1036,8 +1039,9 @@ let attempt_chunked t s ~epoch method_used =
     fun () -> () )
 
 (* One complete stream attempt: initiate, lock, optionally prime
-   annotations, stream the epoch.  Raises Link.Link_down on an outage. *)
-let attempt_refresh t s ~epoch ~prime ~send_request ~allow_chunked method_used =
+   annotations, stream the epoch.  Raises Link.Link_down on an outage.
+   [populating] marks the snapshot's initial transfer. *)
+let attempt_refresh t s ~epoch ~populating ~send_request ~allow_chunked method_used =
   let b = base t s.base_name in
   (* "The refresh algorithm is initiated by sending the last snapshot
      refresh time (SnapTime) ... to the base table." *)
@@ -1046,21 +1050,23 @@ let attempt_refresh t s ~epoch ~prime ~send_request ~allow_chunked method_used =
         Link.send s.request_link
           (Refresh_msg.encode
              (Refresh_msg.Request { snaptime = Snapshot_table.snaptime s.table })));
-  if allow_chunked && chunked_eligible t b s ~prime method_used then
+  if allow_chunked && chunked_eligible t b method_used then
     attempt_chunked t s ~epoch method_used
   else
-  let lock_mode = if prime then Lock.X else lock_mode_for b s method_used in
-  with_table_lock t b lock_mode (fun () ->
+  with_table_lock t b (lock_mode_for b) (fun () ->
       let before = Link.stats s.link in
       let fixups =
-        if prime || needs_priming_fixup b s method_used then
+        if needs_priming_fixup b method_used then
           Trace.with_span "refresh.fixup" ~attrs:[ ("snapshot", s.snap_name) ] (fun () ->
               let writes =
                 (Fixup.run b ~fixup_time:(Clock.tick (Base_table.clock b))).Fixup.writes
               in
               (* A priming fix-up is idempotent (safe to re-run on a retried
-                 attempt) and its writes are not charged to the report. *)
-              if prime then 0 else writes)
+                 attempt).  Beside the populating transfer it annotates the
+                 whole table, like R* adding the funny fields at CREATE
+                 SNAPSHOT time, and its writes are not charged to the
+                 report. *)
+              if populating then 0 else writes)
         else 0
       in
       let report, on_commit =
@@ -1098,7 +1104,7 @@ let backoff_delay t ~failures =
    a member of a group scan whose arm failed retries solo here with the
    group attempt counted as attempt 1, so escalation and the attempt cap
    see one consecutive-failure history, not two. *)
-let refresh_with_retries t s ~choose ?(prime = false) ?(send_request = true)
+let refresh_with_retries t s ~choose ?(populating = false) ?(send_request = true)
     ?(prior_failures = 0) ?(prior_backoff = 0.0) () =
   let p = t.retry in
   let backoff_total = ref prior_backoff in
@@ -1119,7 +1125,7 @@ let refresh_with_retries t s ~choose ?(prime = false) ?(send_request = true)
     s.next_epoch <- epoch + 1;
     let outcome =
       match
-        attempt_refresh t s ~epoch ~prime ~send_request
+        attempt_refresh t s ~epoch ~populating ~send_request
           ~allow_chunked:(not !force_monolithic_full) method_used
       with
       | report, on_commit ->
@@ -1296,8 +1302,7 @@ let group_attempt t b members =
     (* Deferred-mode fix-up rewrites annotations: exclusive, like the solo
        path.  The group never includes a priming fix-up — only snapshots
        already routed to the differential method join a group. *)
-    let lock_mode = if Base_table.mode b = Base_table.Deferred then Lock.X else Lock.S in
-    with_table_lock t b lock_mode (fun () ->
+    with_table_lock t b (lock_mode_for b) (fun () ->
         let before = Array.map (fun s -> Link.stats s.link) members in
         let subs = make_subs () in
         let g =
@@ -1589,17 +1594,14 @@ let create_snapshot t ~name ~base:base_name ?(restrict = Expr.ttrue) ?projection
     }
   in
   (* Initial population is always a full transfer, under the table lock.
-     For a deferred-mode base that may later refresh differentially we also
-     prime the annotations now (one fix-up pass, like R* adding the funny
-     fields at CREATE SNAPSHOT time) so that the first differential refresh
+     On a deferred-mode base it primes the annotations like every other
+     non-differential refresh there, so that a first differential refresh
      does not mistake the whole table for freshly inserted. *)
-  let prime_fixup = Base_table.mode b = Base_table.Deferred
-                    && (method_ = Auto || method_ = Differential) in
   let report =
     try
       refresh_with_retries t s
         ~choose:(fun _ _ -> Used_full)
-        ~prime:prime_fixup ~send_request:false ()
+        ~populating:true ~send_request:false ()
     with e ->
       (* The populating transfer failed for good: leave no trace.  The
          snapshot was never registered, so no half-populated table with

@@ -352,7 +352,10 @@ val set_method : t -> string -> method_spec -> unit
     for switching to [Ideal] after creation (change capture installed now
     would have missed everything since the last refresh).  A committed
     refresh of any method advances the snapshot's log cursor, so a later
-    switch to [Log_based] replays only the genuine WAL tail. *)
+    switch to [Log_based] replays only the genuine WAL tail.  On a
+    deferred-mode base every non-differential refresh also runs the
+    fix-up pass under an exclusive table lock, so a later switch back to
+    [Differential] still sees every deletion. *)
 
 val mutations_since_refresh : t -> string -> int
 (** Base-table operations observed since the snapshot's last committed

@@ -444,28 +444,37 @@ let txn_pinned tx = tx.tx_pinned
 
 let check_pinned tx op = if not tx.tx_pinned then invalid_arg ("Version_store." ^ op ^ ": released txn")
 
-(* Resolve the pinned version's image of one pid; lock held. *)
-let resolve_page t v pid : page option =
+(* Where the pinned version's image of one pid lives; lock held.
+   [Unchanged] means the pid has had no mutation since the version was
+   taken (no override and, for zigzag, no slot), so the live table
+   answers for it — a whole page or a single address alike. *)
+type source = Image of page option | Unchanged
+
+let locate t v pid =
   match v.v_view with
-  | Live -> t.live.live_page pid
-  | Frozen_naive pages -> Hashtbl.find_opt pages pid
+  | Live -> Unchanged
+  | Frozen_naive pages -> Image (Hashtbl.find_opt pages pid)
   | Frozen_cou over -> (
     match Hashtbl.find_opt over pid with
-    | Some p -> p
+    | Some p -> Image p
     | None ->
       Metrics.incr m_read_indirections;
-      t.live.live_page pid)
+      Unchanged)
   | Frozen_zz zv -> (
     match Hashtbl.find_opt zv.zv_over pid with
-    | Some p -> p
+    | Some p -> Image p
     | None -> (
       match Hashtbl.find_opt t.zz_slots pid with
       | Some slots ->
         Metrics.incr m_read_indirections;
-        slots.(bit_get zv.zv_bits pid)
+        Image slots.(bit_get zv.zv_bits pid)
       | None ->
         Metrics.incr m_read_indirections;
-        t.live.live_page pid))
+        Unchanged))
+
+(* Resolve the pinned version's image of one pid; lock held. *)
+let resolve_page t v pid : page option =
+  match locate t v pid with Image p -> p | Unchanged -> t.live.live_page pid
 
 (* The pids that may be non-empty at the pinned version; lock held. *)
 let candidate_pids t v =
@@ -506,12 +515,10 @@ let get tx addr =
   check_pinned tx "get";
   let t = tx.tx_store in
   locked t (fun () ->
-      match tx.tx_version.v_view with
-      | Live -> t.live.live_get addr
-      | _ -> (
-        match resolve_page t tx.tx_version (addr / t.span) with
-        | None -> None
-        | Some p -> find_in_page p addr))
+      match locate t tx.tx_version (addr / t.span) with
+      | Unchanged -> t.live.live_get addr
+      | Image None -> None
+      | Image (Some p) -> find_in_page p addr)
 
 let iter_pages tx f =
   (* Fetch the pid list and then each page under short lock windows; the

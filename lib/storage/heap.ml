@@ -1,9 +1,11 @@
 exception Tuple_error of string
 
+module Max_tree = Snapdiff_util.Max_tree
+
 type t = {
   schema : Schema.t;
   pool : Buffer_pool.t;
-  free_bytes : (int, int) Hashtbl.t;  (* data page -> insertable bytes *)
+  free_bytes : Max_tree.t;  (* data page -> insertable bytes; min_int = never noted *)
   reserve : int;  (* headroom kept per page for in-place record growth *)
   mutable count : int;
   mutable insert_hint : int;  (* lowest data page that may have space *)
@@ -15,7 +17,7 @@ let count t = t.count
 
 let data_pages t = max 0 (Page_store.page_count (Buffer_pool.store t.pool) - 1)
 
-let note_free t page_no free = Hashtbl.replace t.free_bytes page_no free
+let note_free t page_no free = Max_tree.set t.free_bytes page_no free
 
 let scan_existing t =
   let store = Buffer_pool.store t.pool in
@@ -36,7 +38,7 @@ let on_pool ?(fill_factor = 0.9) pool schema =
     int_of_float ((1.0 -. fill_factor) *. float_of_int (Page_store.page_size store))
   in
   let t =
-    { schema; pool; free_bytes = Hashtbl.create 64; reserve; count = 0; insert_hint = 1 }
+    { schema; pool; free_bytes = Max_tree.create (); reserve; count = 0; insert_hint = 1 }
   in
   scan_existing t;
   t
@@ -58,26 +60,27 @@ let encode_checked t tuple =
 let insert t tuple =
   let record = encode_checked t tuple in
   let store = Buffer_pool.store t.pool in
-  let need = Bytes.length record in
-  let try_page p =
-    match Hashtbl.find_opt t.free_bytes p with
-    | Some free when free >= need + t.reserve ->
-      Buffer_pool.with_page t.pool p (fun page ->
-          match Page.insert page record with
-          | Some slot ->
+  let at_least = Bytes.length record + t.reserve in
+  (* Lowest-first-fit: the leftmost page at or after [lo] whose recorded
+     free bytes cover the record plus the reserve.  A page that refuses
+     the record anyway gets its entry refreshed and the search resumes
+     past it. *)
+  let rec find lo =
+    match
+      Max_tree.find_first t.free_bytes ~lo ~hi:(Page_store.page_count store) ~at_least
+    with
+    | None -> None
+    | Some p -> (
+      match
+        Buffer_pool.with_page t.pool p (fun page ->
+            let slot = Page.insert page record in
             note_free t p (Page.free_space_for_insert page);
-            (`Dirty, Some (Addr.make ~page:p ~slot))
-          | None ->
-            note_free t p (Page.free_space_for_insert page);
-            (`Clean, None))
-    | _ -> None
-  in
-  let rec find p =
-    if p >= Page_store.page_count store then None
-    else
-      match try_page p with
+            match slot with
+            | Some slot -> (`Dirty, Some (Addr.make ~page:p ~slot))
+            | None -> (`Clean, None))
+      with
       | Some addr -> Some addr
-      | None -> find (p + 1)
+      | None -> find (p + 1))
   in
   let addr =
     match find (max 1 t.insert_hint) with

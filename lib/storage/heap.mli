@@ -4,7 +4,9 @@
     entries in strictly increasing address order, which is the address-order
     scan the refresh algorithms require.  Insertion is lowest-first-fit, so
     freed addresses are naturally reused ("insert the entry into some empty
-    address of the base table").
+    address of the base table"); a free-space map ({!Snapdiff_util.Max_tree}
+    over each data page's insertable bytes) finds that page in
+    O(log pages).
 
     The callback of {!iter} may [update] or [delete] the entry it is
     currently visiting (the combined fix-up + refresh scan needs this); it

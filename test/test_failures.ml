@@ -484,3 +484,56 @@ let suite =
     Alcotest.test_case "no receiver in a group: siblings unaffected" `Quick
       test_no_receiver_in_group;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* A non-differential refresh of a deferred base must leave annotations
+   current as of its SnapTime, whatever route led to it: otherwise a row
+   inserted before it keeps NULL annotations, and its later deletion
+   leaves no anomaly for the next differential refresh to find. *)
+
+let deferred_reinsert_then_delete ~non_differential_refresh =
+  let clock = Clock.create () in
+  let base = Base_table.create ~mode:Base_table.Deferred ~name:"emp" ~clock emp_schema in
+  let m = Manager.create ~retry:{ Manager.default_retry_policy with escalate_after = 1 } () in
+  Manager.register_base m base;
+  let rows = List.init 100 (fun i -> Base_table.insert base (emp (Printf.sprintf "r%d" i) i)) in
+  ignore
+    (Manager.create_snapshot m ~name:"s" ~base:"emp" ~restrict:Expr.(col "salary" <. int 1000)
+       ~method_:Manager.Differential ()
+      : Manager.refresh_report);
+  let victim = List.nth rows 50 in
+  Base_table.delete base victim;
+  ignore (Manager.refresh m "s" : Manager.refresh_report);
+  let reinserted = Base_table.insert base (emp "again" 50) in
+  checkb "insert reuses the freed slot" true (Addr.equal reinserted victim);
+  let r = non_differential_refresh m in
+  checkb "refresh was not differential" true
+    (r.Manager.method_used <> Manager.Used_differential);
+  Base_table.delete base reinserted;
+  Manager.set_method m "s" Manager.Differential;
+  ignore (Manager.refresh m "s" : Manager.refresh_report);
+  checki "base keeps 99 rows" 99 (List.length (Base_table.to_user_list base));
+  checkb "replica equals the base" true (faithful m base 1000)
+
+let test_deferred_delete_after_set_method_full () =
+  deferred_reinsert_then_delete ~non_differential_refresh:(fun m ->
+      Manager.set_method m "s" Manager.Full;
+      Manager.refresh m "s")
+
+let test_deferred_delete_after_escalation () =
+  deferred_reinsert_then_delete ~non_differential_refresh:(fun m ->
+      let link = Manager.snapshot_link m "s" in
+      Link.inject_faults link ~partitions:[ (1, 2) ] ~seed:3 ();
+      let r = Manager.refresh m "s" in
+      Link.clear_faults link;
+      checkb "escalated" true r.Manager.escalated;
+      r)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "deferred delete after set_method Full is refreshed" `Quick
+        test_deferred_delete_after_set_method_full;
+      Alcotest.test_case "deferred delete after escalation to full is refreshed" `Quick
+        test_deferred_delete_after_escalation;
+    ]

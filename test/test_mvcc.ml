@@ -709,3 +709,66 @@ let suite =
       test_fleet_pinned_reads;
     QCheck_alcotest.to_alcotest prop_strategies_identical;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* A point read at a retained epoch answers exactly what a scan of that
+   epoch holds, whichever way the store resolves the address: a captured
+   image, a zigzag slot, or the live table for a page untouched since. *)
+
+let point_round_gen =
+  Gen.pair Gen.bool
+    (Gen.list_size (Gen.int_range 0 12)
+       (Gen.pair (Gen.int_range 0 (6 * span)) (Gen.opt (Gen.int_range 0 99))))
+
+let prop_point_get_matches_scan =
+  QCheck2.Test.make ~name:"get at every retained epoch = lookup through the scan"
+    ~count:100
+    Gen.(pair (list_size (int_range 1 10) point_round_gen) (int_range 1 4))
+    (fun (rounds, retain) ->
+      List.for_all
+        (fun (_, strat) ->
+          let tbl = Hashtbl.create 64 in
+          let vs = VS.create ~strategy:strat ~retain ~page_span:span ~live:(mk_live tbl) () in
+          let held = ref [] in
+          let write (a, v) =
+            VS.write vs (`Addr a) (fun () ->
+                match v with
+                | Some x -> Hashtbl.replace tbl a (row x a)
+                | None -> Hashtbl.remove tbl a)
+          in
+          List.iteri
+            (fun e (committed, writes) ->
+              if committed then begin
+                VS.begin_commit vs;
+                List.iter write writes;
+                VS.end_commit vs ~epoch:e ~snaptime:(10 * e)
+              end
+              else List.iter write writes;
+              (* Hold a pin on every other epoch so zombies and frozen
+                 views stay live across later commits. *)
+              if e mod 2 = 0 then Option.iter (fun tx -> held := tx :: !held) (VS.pin vs))
+            rounds;
+          let agrees tx =
+            let scanned = Hashtbl.create 64 in
+            VS.iter tx (fun a v -> Hashtbl.replace scanned a v);
+            List.for_all
+              (fun a -> VS.get tx a = Hashtbl.find_opt scanned a)
+              (List.init ((6 * span) + 2) Fun.id)
+          in
+          let ok =
+            List.for_all
+              (fun vi ->
+                match VS.pin ~epoch:vi.VS.vi_epoch vs with
+                | None -> true
+                | Some tx ->
+                  let r = agrees tx in
+                  VS.release tx;
+                  r)
+              (VS.versions vs)
+            && List.for_all agrees !held
+          in
+          List.iter VS.release !held;
+          ok)
+        strategies)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_point_get_matches_scan ]

@@ -841,3 +841,187 @@ let suite =
         test_codec_truncation_raises;
       QCheck_alcotest.to_alcotest prop_cursor_matches_offset_readers;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Free-space map *)
+
+module Max_tree = Snapdiff_util.Max_tree
+
+(* The tree against a plain array scanned left to right.  Slots are set
+   in rising waves the way page allocation grows a heap, with rewrites of
+   earlier slots in between, so queries cross every growth step. *)
+let prop_max_tree_leftmost_fit =
+  QCheck2.Test.make ~name:"max tree leftmost fit = linear scan" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 120)
+        (oneof
+           [
+             map2 (fun i v -> `Set (i, v)) (int_range 0 150) (int_range (-5) 60);
+             map (fun v -> `Append v) (int_range (-5) 60);
+             map3 (fun lo len x -> `Query (lo, lo + len, x))
+               (int_range (-2) 160) (int_range 0 80) (int_range (-6) 61);
+           ]))
+    (fun ops ->
+      let tree = Max_tree.create () in
+      let model = Array.make 400 min_int in
+      let next = ref 0 in
+      let linear lo hi x =
+        let rec go i = if i >= hi then None else if model.(i) >= x then Some i else go (i + 1) in
+        go (max lo 0)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Set (i, v) ->
+            Max_tree.set tree i v;
+            model.(i) <- v;
+            next := max !next (i + 1);
+            true
+          | `Append v ->
+            Max_tree.set tree !next v;
+            model.(!next) <- v;
+            incr next;
+            true
+          | `Query (lo, hi, x) ->
+            Max_tree.find_first tree ~lo ~hi ~at_least:x = linear lo hi x)
+        ops)
+
+(* Lowest-first-fit placement stated the slow way: the linear walk from
+   the insert hint over a table of noted free bytes, on bare pages.  The
+   heap must choose the same address for every insert. *)
+module Linear_heap = struct
+  type t = {
+    page_size : int;
+    reserve : int;
+    mutable pages : Page.t array;  (* index 0 is the header page *)
+    free : (int, int) Hashtbl.t;
+    mutable hint : int;
+  }
+
+  let create ~page_size ~fill_factor =
+    {
+      page_size;
+      reserve = int_of_float ((1.0 -. fill_factor) *. float_of_int page_size);
+      pages = [| Page.create ~page_size |];
+      free = Hashtbl.create 16;
+      hint = 1;
+    }
+
+  let page_count t = Array.length t.pages
+  let note t p = Hashtbl.replace t.free p (Page.free_space_for_insert t.pages.(p))
+
+  let allocate t =
+    t.pages <- Array.append t.pages [| Page.of_bytes (Bytes.make t.page_size '\000') |];
+    page_count t - 1
+
+  let reopen t =
+    Hashtbl.reset t.free;
+    for p = 1 to page_count t - 1 do
+      note t p
+    done;
+    t.hint <- 1
+
+  let insert t record =
+    let need = Bytes.length record in
+    let rec find p =
+      if p >= page_count t then None
+      else
+        match Hashtbl.find_opt t.free p with
+        | Some free when free >= need + t.reserve -> (
+          let slot = Page.insert t.pages.(p) record in
+          note t p;
+          match slot with Some slot -> Some (Addr.make ~page:p ~slot) | None -> find (p + 1))
+        | _ -> find (p + 1)
+    in
+    match find (max 1 t.hint) with
+    | Some addr -> addr
+    | None ->
+      let p = allocate t in
+      let slot = Option.get (Page.insert t.pages.(p) record) in
+      note t p;
+      Addr.make ~page:p ~slot
+
+  let insert_at t addr record =
+    let p = Addr.page addr in
+    while page_count t <= p do
+      ignore (allocate t : int)
+    done;
+    Page.insert_at t.pages.(p) (Addr.slot addr) record && (note t p; true)
+
+  let update t addr record =
+    let p = Addr.page addr in
+    Page.update t.pages.(p) (Addr.slot addr) record && (note t p; true)
+
+  let delete t addr =
+    let p = Addr.page addr in
+    ignore (Page.delete t.pages.(p) (Addr.slot addr) : bool);
+    note t p;
+    if p < t.hint then t.hint <- p
+end
+
+let prop_heap_placement_identity =
+  QCheck2.Test.make ~name:"heap first-fit placement = linear walk" ~count:150
+    QCheck2.Gen.(
+      pair (oneofl [ 0.5; 0.8; 0.9; 1.0 ])
+        (list_size (int_range 1 250)
+           (frequency
+              [
+                (6, map (fun n -> `Ins n) (int_range 1 70));
+                (3, map2 (fun i n -> `Upd (i, n)) nat (int_range 1 90));
+                (3, map (fun i -> `Del i) nat);
+                (1, map2 (fun p s -> `At (p, s)) nat (int_range 0 12));
+                (1, pure `Reopen);
+              ])))
+    (fun (fill_factor, ops) ->
+      let page_size = 256 in
+      let h = ref (Heap.create ~page_size ~frames:3 ~fill_factor emp_schema) in
+      let r = Linear_heap.create ~page_size ~fill_factor in
+      let live = ref [] in
+      let pick i = List.nth !live (i mod List.length !live) in
+      let row n = mk_emp (String.make n 'x') n in
+      let same_outcome what f g =
+        let a = match f () with () -> true | exception Heap.Tuple_error _ -> false in
+        if a <> g then QCheck2.Test.fail_reportf "%s: heap %b, linear walk %b" what a g
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | `Ins n ->
+            let tuple = row n in
+            let a = Heap.insert !h tuple in
+            let b = Linear_heap.insert r (Tuple.encode_to_bytes tuple) in
+            if not (Addr.equal a b) then
+              QCheck2.Test.fail_reportf "insert: heap %s, linear walk %s" (Addr.to_string a)
+                (Addr.to_string b);
+            live := a :: !live
+          | `Upd (i, n) when !live <> [] ->
+            let addr = pick i and tuple = row n in
+            same_outcome "update"
+              (fun () -> Heap.update !h addr tuple)
+              (Linear_heap.update r addr (Tuple.encode_to_bytes tuple))
+          | `Del i when !live <> [] ->
+            let addr = pick i in
+            Heap.delete !h addr;
+            Linear_heap.delete r addr;
+            live := List.filter (fun a -> not (Addr.equal a addr)) !live
+          | `At (p, slot) ->
+            let addr = Addr.make ~page:(1 + (p mod (Linear_heap.page_count r + 1))) ~slot in
+            let tuple = row (1 + (p mod 40)) in
+            let ok = Linear_heap.insert_at r addr (Tuple.encode_to_bytes tuple) in
+            same_outcome "insert_at" (fun () -> Heap.insert_at !h addr tuple) ok;
+            if ok then live := addr :: !live
+          | `Reopen ->
+            Heap.flush !h;
+            h := Heap.on_pool ~fill_factor (Heap.pool !h) emp_schema;
+            Linear_heap.reopen r
+          | `Upd _ | `Del _ -> ())
+        ops;
+      List.map fst (Heap.to_list !h) = List.sort Addr.compare !live
+      && Heap.data_pages !h = Linear_heap.page_count r - 1)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_max_tree_leftmost_fit;
+      QCheck_alcotest.to_alcotest prop_heap_placement_identity;
+    ]
